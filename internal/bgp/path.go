@@ -67,14 +67,23 @@ func (p Path) Clone() Path {
 }
 
 // DedupAdjacent collapses runs of the same ASN (BGP path prepending) into a
-// single hop, returning a new path. "A A B B B C" becomes "A B C".
+// single hop. "A A B B B C" becomes "A B C". A path without prepending is
+// returned as is, not copied; otherwise the result is a new path. An empty
+// path yields nil.
 func (p Path) DedupAdjacent() Path {
 	if len(p) == 0 {
 		return nil
 	}
-	out := make(Path, 0, len(p))
-	out = append(out, p[0])
-	for _, a := range p[1:] {
+	i := 1
+	for i < len(p) && p[i] != p[i-1] {
+		i++
+	}
+	if i >= len(p) {
+		return p
+	}
+	out := make(Path, i, len(p)-1)
+	copy(out, p)
+	for _, a := range p[i+1:] {
 		if a != out[len(out)-1] {
 			out = append(out, a)
 		}
@@ -84,19 +93,14 @@ func (p Path) DedupAdjacent() Path {
 
 // HasNonAdjacentLoop reports whether any ASN reappears after an intervening
 // different ASN (the "A C A" pattern the sanitizer rejects as a loop).
-// Adjacent duplicates from prepending do not count.
+// Adjacent duplicates from prepending do not count. AS paths are short, so
+// a pairwise scan beats building a set: each run's first hop is looked up
+// among the hops before the previous one.
 func (p Path) HasNonAdjacentLoop() bool {
-	seen := make(map[asn.ASN]bool, len(p))
-	var prev asn.ASN
-	for i, a := range p {
-		if i > 0 && a == prev {
-			continue
-		}
-		if seen[a] {
+	for i := 1; i < len(p); i++ {
+		if p[i] != p[i-1] && p[:i-1].Contains(p[i]) {
 			return true
 		}
-		seen[a] = true
-		prev = a
 	}
 	return false
 }

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"countryrank/internal/asn"
-	"countryrank/internal/bgp"
 	"countryrank/internal/relation"
 	"countryrank/internal/sanitize"
 	"countryrank/internal/topology"
@@ -62,65 +61,115 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Starts precomputes, for every accepted record, the index where the
-// retained provider→customer chain begins (len(path)-1 when only the
-// origin's self-membership survives). The result depends only on (ds, rels)
-// — never on the view — so callers that compute cones over many views or
-// VP subsets of the same dataset can pay the relationship lookups once and
-// pass the result to ComputeFrom.
-func Starts(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
-	starts := make([]int32, ds.Len())
-	for i := range starts {
-		_, _, path := ds.Record(i)
-		starts[i] = recordStart(path, rels)
-	}
-	return starts
+// Chains is the per-path chain resolution the cone and CTI kernels read,
+// indexed by the dataset's PathKey. Both metrics follow a path's
+// provider→customer links, so one pass resolves each link's relationship
+// once and derives both from that one vector. It depends only on the
+// dataset and the oracle, never on the view, so callers that compute over
+// many views or VP subsets pay the relationship lookups once.
+type Chains struct {
+	// Starts[k] is where path k's retained provider→customer chain begins
+	// (see chainStart). When a link below the start is not
+	// provider→customer (possible with imperfect inferred relationships),
+	// only the origin's self-membership survives and the start is
+	// len(path)-1. An empty path has start -1: it contributes nothing.
+	Starts []int32
+	// Depths[k] is how many origin-side links of path k are
+	// provider→customer: the transit portion CTI scores.
+	Depths []int32
 }
 
-// recordStart resolves one record's retained-chain start (see Starts); a
-// negative value means the record contributes nothing.
-func recordStart(path bgp.Path, rels relation.Oracle) int32 {
-	start := chainStart(path, rels)
-	if start < 0 {
-		return -1
+// unresolved marks a Chains entry no requested record carried.
+const unresolved = -2
+
+// ResolveChains resolves the chains of the distinct paths carried by the
+// given accepted-record positions (nil means every record); entries of
+// other paths stay unresolved. rels is asked about each (id, id) link once,
+// so any Oracle works and a link shared by many paths costs one lookup.
+func ResolveChains(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Chains {
+	c := Chains{Starts: make([]int32, ds.NumPaths), Depths: make([]int32, ds.NumPaths)}
+	for k := range c.Starts {
+		c.Starts[k] = unresolved
 	}
-	// The retained segment must be a pure provider→customer chain down to
-	// the origin; if any link breaks (possible with imperfect inferred
-	// relationships), the record contributes nothing beyond the origin's
-	// self-membership.
-	for j := start; j+1 < len(path); j++ {
-		if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-			return int32(len(path) - 1)
+	lm := newLinkMemo(ds, rels)
+	var links []topology.Rel
+	each(ds, recs, func(i int) {
+		k := ds.PathKey[i]
+		if c.Starts[k] != unresolved {
+			return
 		}
+		ids := ds.PathIDs[i]
+		if len(ids) == 0 {
+			c.Starts[k] = -1
+			return
+		}
+		links = lm.resolve(links[:0], ids)
+		n := len(links)
+		var depth int
+		for depth < n && links[n-1-depth] == topology.RelP2C {
+			depth++
+		}
+		start := chainStart(links)
+		if start < n-depth {
+			start = n // a broken chain keeps only the origin
+		}
+		c.Starts[k], c.Depths[k] = int32(start), int32(depth)
+	})
+	return c
+}
+
+// linkMemo answers link relationships in dense-id space, asking the oracle
+// once per ordered (id, id) pair.
+type linkMemo struct {
+	ds   *sanitize.Dataset
+	rels relation.Oracle
+	seen map[uint64]topology.Rel
+}
+
+func newLinkMemo(ds *sanitize.Dataset, rels relation.Oracle) *linkMemo {
+	return &linkMemo{ds: ds, rels: rels, seen: map[uint64]topology.Rel{}}
+}
+
+// resolve appends to dst the relationship of each hop of ids to the next:
+// dst[j] labels the link from ids[j] to ids[j+1].
+func (lm *linkMemo) resolve(dst []topology.Rel, ids []int32) []topology.Rel {
+	for j := 0; j+1 < len(ids); j++ {
+		pair := uint64(uint32(ids[j]))<<32 | uint64(uint32(ids[j+1]))
+		r, ok := lm.seen[pair]
+		if !ok {
+			r = lm.rels.Rel(lm.ds.ASNOf[ids[j]], lm.ds.ASNOf[ids[j+1]])
+			lm.seen[pair] = r
+		}
+		dst = append(dst, r)
 	}
-	return int32(start)
+	return dst
 }
 
 // Compute calculates cones over the given accepted-record positions of ds
 // (pass nil for all records). rels supplies relationship labels — the
 // ground-truth graph or an inferred table.
 //
-// The dense-id kernel is bit-identical to the retained map-based reference
-// (computeMapRef), which the property tests enforce.
+// The dense-id kernel is bit-identical to the map-based reference the
+// property tests keep, computeMapRef.
 func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
-	return ComputeFrom(ds, recs, rels, nil)
+	return ComputeFrom(ds, recs, ResolveChains(ds, recs, rels).Starts)
 }
 
-// ComputeFrom is Compute with optionally precomputed chain starts (see
-// Starts); pass nil to resolve them on the fly.
-func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []int32) Scores {
-	return compute(ds, recs, rels, starts, true)
+// ComputeFrom is Compute over chain starts already resolved for every path
+// the records carry (Chains.Starts).
+func ComputeFrom(ds *sanitize.Dataset, recs []int32, starts []int32) Scores {
+	return compute(ds, recs, starts, true)
 }
 
 // ComputeAddresses is ComputeFrom without the ASes (cone-membership count)
 // map. Membership pairs are quadratic in chain length and their sort
 // dominates the kernel, so rankings that only consume address shares —
 // every CC* metric, including each stability trial — use this form.
-func ComputeAddresses(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []int32) Scores {
-	return compute(ds, recs, rels, starts, false)
+func ComputeAddresses(ds *sanitize.Dataset, recs []int32, starts []int32) Scores {
+	return compute(ds, recs, starts, false)
 }
 
-func compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []int32, wantASes bool) Scores {
+func compute(ds *sanitize.Dataset, recs []int32, starts []int32, wantASes bool) Scores {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.pairPfx = sc.pairPfx[:0]
@@ -140,23 +189,17 @@ func compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []
 
 	s := Scores{}
 	each(ds, recs, func(i int) {
-		_, pfxIdx, path := ds.Record(i)
-		ids := ds.PathIDs[i]
+		_, pfxIdx, ids := ds.RecordIDs(i)
 		if !sc.pfxSeen[pfxIdx] {
 			sc.pfxSeen[pfxIdx] = true
 			sc.pfxUsed = append(sc.pfxUsed, pfxIdx)
 			s.Total += ds.Weight[pfxIdx]
 		}
-		var start int
-		if starts != nil {
-			start = int(starts[i])
-		} else {
-			start = int(recordStart(path, rels))
-		}
+		start := int(starts[ds.PathKey[i]])
 		if start < 0 {
 			return
 		}
-		for j := start; j < len(path); j++ {
+		for j := start; j < len(ids); j++ {
 			hi := uint64(uint32(ids[j])) << 32
 			sc.pairPfx = append(sc.pairPfx, hi|uint64(uint32(pfxIdx)))
 			if !wantASes {
@@ -164,7 +207,7 @@ func compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, starts []
 			}
 			// An AS's cone contains itself and every AS observed
 			// downstream of it on the retained chain.
-			for k := j; k < len(path); k++ {
+			for k := j; k < len(ids); k++ {
 				sc.pairAS = append(sc.pairAS, hi|uint64(uint32(ids[k])))
 			}
 		}
@@ -219,67 +262,6 @@ func distinctHigh(pairs []uint64) int {
 	return n
 }
 
-// computeMapRef is the original ASN-keyed map implementation, retained as
-// the executable specification the dense kernel is property-tested against.
-func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) Scores {
-	// conePrefixes[a] tracks distinct prefix indexes per AS; coneASes[a]
-	// tracks the distinct downstream ASes (cone membership).
-	conePrefixes := map[asn.ASN]map[int32]struct{}{}
-	coneASes := map[asn.ASN]map[asn.ASN]struct{}{}
-	seenPrefix := map[int32]struct{}{}
-
-	each(ds, recs, func(i int) {
-		_, pfxIdx, path := ds.Record(i)
-		seenPrefix[pfxIdx] = struct{}{}
-		start := chainStart(path, rels)
-		if start < 0 {
-			return
-		}
-		// See Compute: a broken chain keeps only the origin in scope.
-		for j := start; j+1 < len(path); j++ {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-				start = len(path) - 1
-				break
-			}
-		}
-		for j := start; j < len(path); j++ {
-			set := conePrefixes[path[j]]
-			if set == nil {
-				set = map[int32]struct{}{}
-				conePrefixes[path[j]] = set
-			}
-			set[pfxIdx] = struct{}{}
-			members := coneASes[path[j]]
-			if members == nil {
-				members = map[asn.ASN]struct{}{}
-				coneASes[path[j]] = members
-			}
-			for k := j; k < len(path); k++ {
-				members[path[k]] = struct{}{}
-			}
-		}
-	})
-
-	s := Scores{
-		Addresses: make(map[asn.ASN]uint64, len(conePrefixes)),
-		ASes:      make(map[asn.ASN]int, len(coneASes)),
-	}
-	for p := range seenPrefix {
-		s.Total += ds.Weight[p]
-	}
-	for a, set := range conePrefixes {
-		var sum uint64
-		for p := range set {
-			sum += ds.Weight[p]
-		}
-		s.Addresses[a] = sum
-	}
-	for a, members := range coneASes {
-		s.ASes[a] = len(members)
-	}
-	return s
-}
-
 // ComputeRecursive is the ablation variant §1.1 warns against: instead of
 // only crediting an AS with prefixes observed downstream of it on actual
 // paths, it collects every observed provider→customer link and takes the
@@ -291,6 +273,8 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 	links := map[asn.ASN]map[asn.ASN]struct{}{}
 	own := map[asn.ASN]map[int32]struct{}{}
 	seenPrefix := map[int32]struct{}{}
+	lm := newLinkMemo(ds, rels)
+	var rs []topology.Rel
 
 	each(ds, recs, func(i int) {
 		_, pfxIdx, path := ds.Record(i)
@@ -303,12 +287,9 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 			}
 			set[pfxIdx] = struct{}{}
 		}
-		start := chainStart(path, rels)
-		if start < 0 {
-			return
-		}
-		for j := start; j+1 < len(path); j++ {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
+		rs = lm.resolve(rs[:0], ds.PathIDs[i])
+		for j := chainStart(rs); j < len(rs); j++ {
+			if rs[j] != topology.RelP2C {
 				break
 			}
 			m := links[path[j]]
@@ -366,24 +347,21 @@ func ComputeRecursive(ds *sanitize.Dataset, recs []int32, rels relation.Oracle) 
 	return s
 }
 
-// chainStart returns the index in path where the provider→customer chain
-// begins: after the first peer↔peer link, or at the provider side of the
-// first provider→customer link. When the whole path climbs (or relations
-// are unknown), only the origin remains in scope. Returns -1 for an empty
-// path.
-func chainStart(path bgp.Path, rels relation.Oracle) int {
-	if len(path) == 0 {
-		return -1
-	}
-	for i := 0; i+1 < len(path); i++ {
-		switch rels.Rel(path[i], path[i+1]) {
+// chainStart returns the hop index where a path's provider→customer chain
+// begins, given its link relationships (links[j] labels hop j to hop j+1):
+// after the first peer↔peer link, or at the provider side of the first
+// provider→customer link. When the whole path climbs (or relations are
+// unknown), only the origin, hop len(links), remains in scope.
+func chainStart(links []topology.Rel) int {
+	for i, r := range links {
+		switch r {
 		case topology.RelP2P:
 			return i + 1
 		case topology.RelP2C:
 			return i
 		}
 	}
-	return len(path) - 1
+	return len(links)
 }
 
 // each visits the requested accepted-record positions, or all of them when

@@ -159,11 +159,10 @@ type Pipeline struct {
 	// full dataset.
 	byVP         [][]int32
 	vpsByCountry map[countries.Code][]int32
-	// coneStarts / ctiDepths hold each record's precomputed chain
-	// resolution against Rels (view-independent), so per-trial kernel runs
-	// skip the relationship oracle entirely.
-	coneStarts []int32
-	ctiDepths  []int32
+	// chains holds each distinct path's chain resolution against Rels
+	// (view-independent), so per-trial kernel runs skip the relationship
+	// oracle entirely.
+	chains cone.Chains
 
 	// viewCache memoizes ViewRecords per (kind, country): the experiment
 	// fan-out recomputes the same views for hundreds of trials. Guarded by
@@ -256,10 +255,18 @@ func process(w *topology.World, col *routing.Collection, opt Options, sp *obs.Sp
 	}
 	if opt.InferRelationships {
 		is := sp.Child("infer-relationships")
+		// Distinct clean paths in record order. Keys are numbered in
+		// first-appearance order, so a record whose key is below next
+		// repeats a path already visited and needs no string key.
 		seen := map[string]bool{}
 		var paths []bgp.Path
-		for i := 0; i < ds.Len(); i++ {
-			_, _, path := ds.Record(i)
+		next := int32(0)
+		for i, pk := range ds.PathKey {
+			if pk < next {
+				continue
+			}
+			next++
+			path := ds.CleanPath[i]
 			k := path.Key()
 			if !seen[k] {
 				seen[k] = true
@@ -285,8 +292,7 @@ func process(w *topology.World, col *routing.Collection, opt Options, sp *obs.Sp
 	}
 	xs.End()
 	cs := sp.Child("precompute")
-	p.coneStarts = cone.Starts(ds, p.Rels)
-	p.ctiDepths = cti.Depths(ds, p.Rels)
+	p.chains = cone.ResolveChains(ds, nil, p.Rels)
 	cs.End()
 	return p
 }
@@ -447,8 +453,8 @@ func (p *Pipeline) Country(c countries.Code) *CountryRankings {
 	var coneI, coneN cone.Scores
 	var ahI, ahN hegemony.Scores
 	par.Do(
-		func() { defer timeKernel(mKernelCone)(); coneI = cone.ComputeFrom(p.DS, intl, p.Rels, p.coneStarts) },
-		func() { defer timeKernel(mKernelCone)(); coneN = cone.ComputeFrom(p.DS, natl, p.Rels, p.coneStarts) },
+		func() { defer timeKernel(mKernelCone)(); coneI = cone.ComputeFrom(p.DS, intl, p.chains.Starts) },
+		func() { defer timeKernel(mKernelCone)(); coneN = cone.ComputeFrom(p.DS, natl, p.chains.Starts) },
 		func() { defer timeKernel(mKernelHegemony)(); ahI = hegemony.Compute(p.DS, intl, p.Opt.Trim) },
 		func() { defer timeKernel(mKernelHegemony)(); ahN = hegemony.Compute(p.DS, natl, p.Opt.Trim) },
 	)
@@ -469,7 +475,7 @@ func (p *Pipeline) Country(c countries.Code) *CountryRankings {
 func (p *Pipeline) Global() (ccg, ahg *rank.Ranking) {
 	info := p.Info()
 	doneC := timeKernel(mKernelCone)
-	cs := cone.ComputeFrom(p.DS, nil, p.Rels, p.coneStarts)
+	cs := cone.ComputeFrom(p.DS, nil, p.chains.Starts)
 	doneC()
 	doneH := timeKernel(mKernelHegemony)
 	hs := hegemony.Compute(p.DS, nil, p.Opt.Trim)
@@ -493,7 +499,7 @@ func (p *Pipeline) Outbound(c countries.Code) *OutboundRankings {
 	recs := p.ViewRecords(Outbound, c)
 	info := p.Info()
 	doneC := timeKernel(mKernelCone)
-	cs := cone.ComputeFrom(p.DS, recs, p.Rels, p.coneStarts)
+	cs := cone.ComputeFrom(p.DS, recs, p.chains.Starts)
 	doneC()
 	doneH := timeKernel(mKernelHegemony)
 	hs := hegemony.Compute(p.DS, recs, p.Opt.Trim)
@@ -517,7 +523,7 @@ func (p *Pipeline) AHC(c countries.Code) *rank.Ranking {
 func (p *Pipeline) CTI(c countries.Code) *rank.Ranking {
 	recs := p.ViewRecords(International, c)
 	defer timeKernel(mKernelCTI)()
-	s := cti.ComputeFrom(p.DS, recs, p.Rels, p.ctiDepths, p.Opt.Trim)
+	s := cti.ComputeFrom(p.DS, recs, p.chains.Depths, p.Opt.Trim)
 	return rank.New(p.label(string(CTI)+" "+string(c)), s.CTI, p.Info(), true)
 }
 
@@ -526,7 +532,7 @@ func (p *Pipeline) CTI(c countries.Code) *rank.Ranking {
 func (p *Pipeline) rankFor(m Metric, recs []int32) *rank.Ranking {
 	switch m {
 	case CCI, CCN, CCG:
-		return rank.New(string(m), cone.ComputeAddresses(p.DS, recs, p.Rels, p.coneStarts).Shares(), nil, true)
+		return rank.New(string(m), cone.ComputeAddresses(p.DS, recs, p.chains.Starts).Shares(), nil, true)
 	case AHI, AHN, AHG:
 		return rank.New(string(m), hegemony.Compute(p.DS, recs, p.Opt.Trim).Hegemony, nil, true)
 	}
@@ -541,7 +547,7 @@ func (p *Pipeline) rankFor(m Metric, recs []int32) *rank.Ranking {
 func (p *Pipeline) sampleTop(m Metric, recs []int32, k int) []asn.ASN {
 	switch m {
 	case CCI, CCN, CCG:
-		return topK(cone.ComputeAddresses(p.DS, recs, p.Rels, p.coneStarts).Addresses, k)
+		return topK(cone.ComputeAddresses(p.DS, recs, p.chains.Starts).Addresses, k)
 	case AHI, AHN, AHG:
 		return topK(hegemony.Compute(p.DS, recs, p.Opt.Trim).Hegemony, k)
 	}

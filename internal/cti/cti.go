@@ -12,9 +12,9 @@ import (
 	"sync"
 
 	"countryrank/internal/asn"
+	"countryrank/internal/cone"
 	"countryrank/internal/relation"
 	"countryrank/internal/sanitize"
-	"countryrank/internal/topology"
 )
 
 // Scores holds CTI values per AS.
@@ -57,42 +57,21 @@ func grow[T int32 | uint64 | float64 | bool](s []T, n int) []T {
 	return s[:n]
 }
 
-// Depths precomputes, for every accepted record, how many hops of the
-// origin-side provider→customer chain score (the transit portion's length).
-// It depends only on (ds, rels), never on the view, so callers computing
-// CTI over many views or VP subsets can pay the relationship lookups once
-// and pass the result to ComputeFrom.
-func Depths(ds *sanitize.Dataset, rels relation.Oracle) []int32 {
-	depths := make([]int32, ds.Len())
-	for i := range depths {
-		_, _, path := ds.Record(i)
-		var d int32
-		for j := len(path) - 2; j >= 0; j-- {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-				break
-			}
-			d++
-		}
-		depths[i] = d
-	}
-	return depths
-}
-
 // Compute calculates CTI over the given accepted-record positions (the
 // caller passes an international view: out-of-country VPs toward in-country
 // prefixes). trim < 0 selects the canonical 10%.
 //
-// The dense-id kernel is bit-identical to the retained map-based reference
-// (computeMapRef): records are processed grouped by VP but in record order
-// inside each group, so every float accumulation happens in the reference's
-// order.
+// The dense-id kernel is bit-identical to the map-based reference the
+// property tests keep (computeMapRef): records are processed grouped by VP
+// but in record order inside each group, so every float accumulation
+// happens in the reference's order.
 func Compute(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim float64) Scores {
-	return ComputeFrom(ds, recs, rels, nil, trim)
+	return ComputeFrom(ds, recs, cone.ResolveChains(ds, recs, rels).Depths, trim)
 }
 
-// ComputeFrom is Compute with optionally precomputed transit depths (see
-// Depths); pass nil to resolve them on the fly.
-func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depths []int32, trim float64) Scores {
+// ComputeFrom is Compute over transit depths already resolved for every
+// path the records carry (cone.Chains.Depths).
+func ComputeFrom(ds *sanitize.Dataset, recs []int32, depths []int32, trim float64) Scores {
 	if trim < 0 {
 		trim = 0.10
 	}
@@ -115,22 +94,15 @@ func ComputeFrom(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, depth
 		sc.touched = sc.touched[:0]
 		var total uint64
 		for _, i := range bucket {
-			_, pfxIdx, path := ds.Record(int(i))
-			ids := ds.PathIDs[i]
+			_, pfxIdx, ids := ds.RecordIDs(int(i))
 			w := ds.Weight[pfxIdx]
 			total += w
 			// Walk the transit (provider→customer) chain from the origin
-			// side: path[len-1] is the origin (k=0); moving toward the VP,
+			// side: ids[len-1] is the origin (k=0); moving toward the VP,
 			// an AS at distance k scores w/k while the link below is p2c.
-			last := 0
-			if depths != nil {
-				last = len(path) - 1 - int(depths[i])
-			}
-			for j := len(path) - 2; j >= last; j-- {
-				if depths == nil && rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-					break
-				}
-				k := len(path) - 1 - j
+			last := len(ids) - 1 - int(depths[ds.PathKey[i]])
+			for j := len(ids) - 2; j >= last; j-- {
+				k := len(ids) - 1 - j
 				id := ids[j]
 				if !sc.seen[id] {
 					sc.seen[id] = true
@@ -225,75 +197,6 @@ func each(ds *sanitize.Dataset, recs []int32, f func(i int)) {
 	for _, i := range recs {
 		f(int(i))
 	}
-}
-
-// computeMapRef is the original ASN-keyed map implementation, retained as
-// the executable specification the dense kernel is property-tested against.
-func computeMapRef(ds *sanitize.Dataset, recs []int32, rels relation.Oracle, trim float64) Scores {
-	if trim < 0 {
-		trim = 0.10
-	}
-	nVP := len(ds.VPCountry)
-	totals := make([]uint64, nVP)
-	perVP := make([]map[asn.ASN]float64, nVP)
-
-	each(ds, recs, func(i int) {
-		vpIdx, pfxIdx, path := ds.Record(i)
-		w := ds.Weight[pfxIdx]
-		totals[vpIdx] += w
-		m := perVP[vpIdx]
-		if m == nil {
-			m = map[asn.ASN]float64{}
-			perVP[vpIdx] = m
-		}
-		for j := len(path) - 2; j >= 0; j-- {
-			if rels.Rel(path[j], path[j+1]) != topology.RelP2C {
-				break
-			}
-			k := len(path) - 1 - j
-			m[path[j]] += float64(w) / float64(k)
-		}
-	})
-
-	var vps []int
-	for v := 0; v < nVP; v++ {
-		if totals[v] > 0 {
-			vps = append(vps, v)
-		}
-	}
-	values := map[asn.ASN][]float64{}
-	for _, v := range vps {
-		for a, sc := range perVP[v] {
-			values[a] = append(values[a], sc/float64(totals[v]))
-		}
-	}
-	s := Scores{CTI: make(map[asn.ASN]float64, len(values)), VPCount: len(vps)}
-	for a, vals := range values {
-		s.CTI[a] = trimmedMean(vals, len(vps), trim)
-	}
-	return s
-}
-
-func trimmedMean(vals []float64, n int, trim float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	padded := make([]float64, n)
-	copy(padded, vals)
-	sort.Float64s(padded)
-	k := int(trim * float64(n))
-	if k == 0 && trim > 0 && n >= 3 {
-		k = 1 // same small-view convention as hegemony (Figure 2)
-	}
-	lo, hi := k, n-k
-	if lo >= hi {
-		lo, hi = 0, n
-	}
-	var sum float64
-	for _, v := range padded[lo:hi] {
-		sum += v
-	}
-	return sum / float64(hi-lo)
 }
 
 // trimmedMeanSorted is trimmedMean over already-sorted values with the zero

@@ -170,6 +170,14 @@ type Dataset struct {
 	// collapsing.
 	Accepted  []int32
 	CleanPath []bgp.Path
+	// PathKey[i] is accepted record i's distinct-path key: records read
+	// from the same source path share a key, and so share their clean
+	// path. Keys are dense in [0, NumPaths) and numbered in first-appearance
+	// order, so the first record with key k comes after the first record
+	// with key k-1. Work that depends only on the path (dense ids, chain
+	// resolution, relationship inference) runs once per key.
+	PathKey  []int32
+	NumPaths int
 	// recVP / recPrefix are the accepted records' VP and prefix columns,
 	// copied out during the filtering stream so the dataset never needs
 	// random access into the collection's record store (which may be
@@ -193,7 +201,9 @@ type Dataset struct {
 	ASNOf []asn.ASN
 	IDOf  map[asn.ASN]int32
 	// PathIDs[i] is CleanPath[i] with every hop resolved to its dense id.
-	// All PathIDs share one backing array; callers must not mutate them.
+	// Records with the same PathKey share one slice, so PathIDs is
+	// read-only: a write through one record would change every record of
+	// its path.
 	PathIDs [][]int32
 }
 
@@ -211,22 +221,23 @@ func NewDataset(col *routing.Collection, vpCountry, prefixCountry []countries.Co
 	for p, pfx := range col.Prefixes {
 		ds.Weight[p] = netx.AddressWeight(pfx)
 	}
-	ds.Stats.Total = col.NumRecords()
-	ds.Stats.Counts[Accepted] = col.NumRecords()
-	err := col.ForEachRecord(func(base int, recs []routing.Record) error {
-		for k, r := range recs {
-			ds.Accepted = append(ds.Accepted, int32(base+k))
-			ds.recVP = append(ds.recVP, r.VP)
-			ds.recPrefix = append(ds.recPrefix, r.Prefix)
-			ds.CleanPath = append(ds.CleanPath, col.Paths[r.Path])
-		}
-		return nil
-	})
-	if err != nil {
-		// Streaming only fails on spilled collections with unreadable run
-		// files; that is not recoverable mid-build.
-		panic(fmt.Sprintf("sanitize: record stream: %v", err))
+	n := col.NumRecords()
+	ds.Stats.Total = n
+	ds.Stats.Counts[Accepted] = n
+	ds.presize(n)
+	keyOf := make([]int32, len(col.Paths))
+	for i := range keyOf {
+		keyOf[i] = -1
 	}
+	stream(col, func(base int, recs []routing.Record) {
+		for k, r := range recs {
+			if keyOf[r.Path] < 0 {
+				keyOf[r.Path] = int32(ds.NumPaths)
+				ds.NumPaths++
+			}
+			ds.accept(int32(base+k), r, col.Paths[r.Path], keyOf[r.Path])
+		}
+	})
 	ds.buildInterner()
 	return ds
 }
@@ -255,66 +266,117 @@ func Run(col *routing.Collection, cfg Config) *Dataset {
 	}
 
 	// Cache per-path verdicts and cleaned forms: the same path index backs
-	// many records (one per prefix of its origin).
+	// many records (one per prefix of its origin). A path gets its key when
+	// the first accepted record carries it.
 	type pathVerdict struct {
 		reason Reason // Accepted, Unallocated, Loop or Poisoned
+		key    int32  // distinct-path key, -1 until accepted once
 		clean  bgp.Path
 	}
 	verdicts := make([]pathVerdict, len(col.Paths))
+	j := newJudge(cfg)
 	for i, p := range col.Paths {
-		verdicts[i] = judgePath(p, cfg)
+		reason, clean := j.judgePath(p)
+		verdicts[i] = pathVerdict{reason: reason, key: -1, clean: clean}
 	}
 
-	ds.Stats.Total = col.NumRecords()
-	err := col.ForEachRecord(func(base int, recs []routing.Record) error {
-		for k, r := range recs {
-			reason := Accepted
-			v := verdicts[r.Path]
-			switch {
-			case !col.Stable[r.Prefix]:
-				reason = Unstable
-			case v.reason != Accepted:
-				reason = v.reason
-			case ds.VPCountry[r.VP] == "":
-				reason = VPNoLocation
-			case ds.PrefixCountry[r.Prefix] == "":
-				reason = PrefixNoLocation
-			}
-			ds.Stats.Counts[reason]++
-			if reason == Accepted {
-				ds.Accepted = append(ds.Accepted, int32(base+k))
-				ds.recVP = append(ds.recVP, r.VP)
-				ds.recPrefix = append(ds.recPrefix, r.Prefix)
-				ds.CleanPath = append(ds.CleanPath, v.clean)
-			}
+	reasonOf := func(r routing.Record) Reason {
+		switch {
+		case !col.Stable[r.Prefix]:
+			return Unstable
+		case verdicts[r.Path].reason != Accepted:
+			return verdicts[r.Path].reason
+		case ds.VPCountry[r.VP] == "":
+			return VPNoLocation
+		case ds.PrefixCountry[r.Prefix] == "":
+			return PrefixNoLocation
 		}
-		return nil
-	})
-	if err != nil {
-		// Streaming only fails on spilled collections with unreadable run
-		// files; that is not recoverable mid-run.
-		panic(fmt.Sprintf("sanitize: record stream: %v", err))
+		return Accepted
 	}
+	// Count first, then collect: the accepted-record columns are allocated
+	// at their exact size, so the collecting pass never regrows them and
+	// the dataset carries no spare capacity through the epoch.
+	ds.Stats.Total = col.NumRecords()
+	stream(col, func(_ int, recs []routing.Record) {
+		for _, r := range recs {
+			ds.Stats.Counts[reasonOf(r)]++
+		}
+	})
+	ds.presize(ds.Stats.Counts[Accepted])
+	stream(col, func(base int, recs []routing.Record) {
+		for k, r := range recs {
+			if reasonOf(r) != Accepted {
+				continue
+			}
+			v := &verdicts[r.Path]
+			if v.key < 0 {
+				v.key = int32(ds.NumPaths)
+				ds.NumPaths++
+			}
+			ds.accept(int32(base+k), r, v.clean, v.key)
+		}
+	})
 	ds.buildInterner()
 	ds.Stats.observe(time.Since(start))
 	return ds
 }
 
-// buildInterner assigns dense ids to every ASN on a clean path and
-// pre-resolves each accepted record's path to ids. Ids are assigned in
-// first-appearance order over the accepted records, so they are
-// deterministic for a fixed collection.
+// stream runs fn over every record of col in canonical order. Streaming
+// only fails on spilled collections with unreadable run files; that is not
+// recoverable mid-build.
+func stream(col *routing.Collection, fn func(base int, recs []routing.Record)) {
+	err := col.ForEachRecord(func(base int, recs []routing.Record) error {
+		fn(base, recs)
+		return nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("sanitize: record stream: %v", err))
+	}
+}
+
+// presize gives the accepted-record columns room for n records.
+func (d *Dataset) presize(n int) {
+	d.Accepted = make([]int32, 0, n)
+	d.recVP = make([]int32, 0, n)
+	d.recPrefix = make([]int32, 0, n)
+	d.CleanPath = make([]bgp.Path, 0, n)
+	d.PathKey = make([]int32, 0, n)
+}
+
+// accept appends one accepted record: its canonical index, its columns, its
+// clean path and its distinct-path key.
+func (d *Dataset) accept(idx int32, r routing.Record, clean bgp.Path, key int32) {
+	d.Accepted = append(d.Accepted, idx)
+	d.recVP = append(d.recVP, r.VP)
+	d.recPrefix = append(d.recPrefix, r.Prefix)
+	d.CleanPath = append(d.CleanPath, clean)
+	d.PathKey = append(d.PathKey, key)
+}
+
+// buildInterner assigns dense ids to every ASN on a clean path and resolves
+// each distinct path to ids once, at the first record of its key; later
+// records of the key share that slice. Ids are assigned in first-appearance
+// order over the accepted records (a later record of a key brings no new
+// ASN), so they are deterministic for a fixed collection.
 func (d *Dataset) buildInterner() {
+	first := make([]int32, 0, d.NumPaths) // first record of each key
 	total := 0
-	for _, p := range d.CleanPath {
-		total += len(p)
+	for i, k := range d.PathKey {
+		if int(k) == len(first) {
+			first = append(first, int32(i))
+			total += len(d.CleanPath[i])
+		}
 	}
 	d.IDOf = make(map[asn.ASN]int32)
 	buf := make([]int32, 0, total)
 	d.PathIDs = make([][]int32, len(d.CleanPath))
-	for i, p := range d.CleanPath {
+	for i, k := range d.PathKey {
+		if f := first[k]; int(f) != i {
+			d.PathIDs[i] = d.PathIDs[f]
+			continue
+		}
 		start := len(buf)
-		for _, a := range p {
+		for _, a := range d.CleanPath[i] {
 			id, ok := d.IDOf[a]
 			if !ok {
 				id = int32(len(d.ASNOf))
@@ -330,60 +392,83 @@ func (d *Dataset) buildInterner() {
 // NumAS returns the number of distinct interned ASNs.
 func (d *Dataset) NumAS() int { return len(d.ASNOf) }
 
-// judgePath applies the path-content filters and cleaning of §3.1.
-func judgePath(p bgp.Path, cfg Config) struct {
-	reason Reason
-	clean  bgp.Path
-} {
-	out := struct {
-		reason Reason
-		clean  bgp.Path
-	}{reason: Accepted}
+// hopClass is what the path filters need to know about one ASN.
+type hopClass uint8
 
-	for _, a := range p {
-		if cfg.Registry != nil && !cfg.Registry.Allocated(a) {
-			out.reason = Unallocated
-			return out
+const (
+	hopUnallocated hopClass = 1 << iota
+	hopClique
+	hopRouteServer
+)
+
+// judge applies the path-content filters and cleaning of §3.1. It asks the
+// config about each ASN once: a collection has millions of hops but only
+// thousands of distinct ASNs.
+type judge struct {
+	cfg     Config
+	classes map[asn.ASN]hopClass
+}
+
+func newJudge(cfg Config) *judge {
+	return &judge{cfg: cfg, classes: map[asn.ASN]hopClass{}}
+}
+
+func (j *judge) class(a asn.ASN) hopClass {
+	c, ok := j.classes[a]
+	if !ok {
+		if j.cfg.Registry != nil && !j.cfg.Registry.Allocated(a) {
+			c |= hopUnallocated
 		}
+		if j.cfg.Clique[a] {
+			c |= hopClique
+		}
+		if j.cfg.RouteServers[a] {
+			c |= hopRouteServer
+		}
+		j.classes[a] = c
+	}
+	return c
+}
+
+// judgePath returns p's verdict and, for an accepted path, its clean form.
+// The clean form is p itself unless cleaning changed it, so the common case
+// allocates nothing.
+func (j *judge) judgePath(p bgp.Path) (Reason, bgp.Path) {
+	var all hopClass
+	poisoned := false
+	lastClique := -1
+	for i, a := range p {
+		c := j.class(a)
+		all |= c
+		if c&hopClique != 0 {
+			// A non-clique AS between two clique ASes is the signature
+			// of path poisoning under the valley-free assumption (§3.1).
+			// Prepending neither hides nor creates one.
+			poisoned = poisoned || lastClique >= 0 && i-lastClique > 1
+			lastClique = i
+		}
+	}
+	if all&hopUnallocated != 0 {
+		return Unallocated, nil
 	}
 	dedup := p.DedupAdjacent()
 	if dedup.HasNonAdjacentLoop() {
-		out.reason = Loop
-		return out
+		return Loop, nil
 	}
-	if cfg.Clique != nil && poisoned(dedup, cfg.Clique) {
-		out.reason = Poisoned
-		return out
+	if poisoned {
+		return Poisoned, nil
 	}
 	// Clean: drop route-server hops, then collapse any prepending.
-	clean := dedup
-	if len(cfg.RouteServers) > 0 {
-		filtered := make(bgp.Path, 0, len(dedup))
-		for _, a := range dedup {
-			if !cfg.RouteServers[a] {
-				filtered = append(filtered, a)
-			}
-		}
-		clean = filtered.DedupAdjacent()
+	if all&hopRouteServer == 0 {
+		return Accepted, dedup
 	}
-	out.clean = clean
-	return out
-}
-
-// poisoned reports whether a non-clique AS sits between two clique ASes,
-// the signature of path poisoning under the valley-free assumption (§3.1).
-func poisoned(p bgp.Path, clique map[asn.ASN]bool) bool {
-	last := -1 // index of the previous clique AS
-	for i, a := range p {
-		if !clique[a] {
-			continue
+	filtered := make(bgp.Path, 0, len(dedup))
+	for _, a := range dedup {
+		if j.class(a)&hopRouteServer == 0 {
+			filtered = append(filtered, a)
 		}
-		if last >= 0 && i-last > 1 {
-			return true
-		}
-		last = i
 	}
-	return false
+	return Accepted, filtered.DedupAdjacent()
 }
 
 // Len returns the number of accepted records.

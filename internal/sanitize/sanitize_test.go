@@ -120,24 +120,27 @@ func TestJudgePathDirect(t *testing.T) {
 		{"prepend-not-loop", bgp.Path{1, 2, 2, 3}, Accepted},
 		{"poisoned", bgp.Path{3356, 2, 1299, 3}, Poisoned},
 		{"adjacent-clique-ok", bgp.Path{3356, 1299, 3}, Accepted},
+		{"poisoned-prepended", bgp.Path{3356, 2, 2, 1299, 3}, Poisoned},
+		{"clique-prepended-ok", bgp.Path{3356, 3356, 1299, 1299, 3}, Accepted},
+		{"unallocated-beats-loop", bgp.Path{1, 2, 1, 64512}, Unallocated},
+		{"loop-beats-poison", bgp.Path{3356, 2, 1299, 2}, Loop},
 	}
 	for _, c := range cases {
-		got := judgePath(c.path, cfg)
-		if got.reason != c.want {
-			t.Errorf("%s: reason = %v, want %v", c.name, got.reason, c.want)
+		if got, _ := newJudge(cfg).judgePath(c.path); got != c.want {
+			t.Errorf("%s: reason = %v, want %v", c.name, got, c.want)
 		}
 	}
 	// Route-server removal with prepend collapse across the removed hop.
-	got := judgePath(bgp.Path{1, 9, 1, 2}, cfg)
+	got, _ := newJudge(cfg).judgePath(bgp.Path{1, 9, 1, 2})
 	// 1 9 1 2 has a non-adjacent loop before cleaning... actually 1,9,1 is a
 	// loop, so it is rejected; use a path where the RS sits between two
 	// different ASes.
-	if got.reason != Loop {
-		t.Errorf("RS loop path: %v", got.reason)
+	if got != Loop {
+		t.Errorf("RS loop path: %v", got)
 	}
-	got = judgePath(bgp.Path{1, 9, 2, 3}, cfg)
-	if got.reason != Accepted || !got.clean.Equal(bgp.Path{1, 2, 3}) {
-		t.Errorf("RS removal: %+v", got)
+	got, clean := newJudge(cfg).judgePath(bgp.Path{1, 9, 2, 3})
+	if got != Accepted || !clean.Equal(bgp.Path{1, 2, 3}) {
+		t.Errorf("RS removal: %v %v", got, clean)
 	}
 }
 

@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo '--- gofmt'
-unformatted=$(gofmt -l ./cmd ./internal ./scripts ./*.go)
+unformatted=$(gofmt -l ./cmd ./internal ./scripts ./perfbench ./*.go)
 if [[ -n "$unformatted" ]]; then
     echo "gofmt needed:" >&2
     echo "$unformatted" >&2
@@ -16,12 +16,16 @@ fi
 
 echo '--- go vet'
 go vet ./...
+# perfbench is a module of its own (it replaces countryrank with ../), so
+# ./... from the root does not reach it.
+go -C perfbench vet ./...
 
 echo '--- go build'
 go build ./...
 
 echo '--- go test -race'
 go test -race ./...
+go -C perfbench test ./...
 
 echo '--- bench smoke (Figure4, 1 iteration)'
 go test -run '^$' -bench Figure4 -benchtime 1x .
